@@ -24,7 +24,7 @@ namespace nsc {
 ///                      so this advances by 2 per positive triple, not 1.
 ///   true_admissions  — known-true triples admitted into a refresh pool
 ///                      because the false-negative filter exhausted its
-///                      redraw budget (see CacheUpdater::BuildPool). A
+///                      redraw budget (see BuildPool in cache_update.cc). A
 ///                      nonzero rate means filter_true_triples is being
 ///                      silently defeated for some keys.
 ///   topk_tiles / topk_pruned_tiles

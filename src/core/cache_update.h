@@ -12,7 +12,6 @@
 #ifndef NSCACHING_CORE_CACHE_UPDATE_H_
 #define NSCACHING_CORE_CACHE_UPDATE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "kg/kg_index.h"
 #include "kg/types.h"
 #include "util/rng.h"
-#include "util/topk.h"
 
 namespace nsc {
 
@@ -84,7 +82,10 @@ class CacheUpdater {
         filter_index_(filter_index) {}
 
   /// Refreshes a head-cache entry for key (r, t): entry holds candidate
-  /// heads h̄ scored by f(h̄, r, t).
+  /// heads h̄ scored by f(h̄, r, t). Survivors fill the slots in the
+  /// selection order (GumbelTopK's, or the top-K retrieval's for kTop).
+  /// All buffers are per-thread, so once a thread has refreshed an entry
+  /// of this size, a refresh makes no heap allocation.
   CacheRefreshResult UpdateHeadEntry(std::vector<EntityId>* entry,
                                      RelationId r, EntityId t, Rng* rng) const;
 
@@ -96,21 +97,11 @@ class CacheUpdater {
   int n2() const { return n2_; }
 
  private:
-  int Update(std::vector<EntityId>* entry, Rng* rng,
-             const std::vector<double>& scores,
-             const std::vector<EntityId>& pool) const;
-  // kTop's counterpart of Update: `picked` is the top-N1 retrieval over
-  // the pool (entries' index fields are pool positions). Same changed-id
-  // accounting.
-  int ApplyTopK(std::vector<EntityId>* entry,
-                const std::vector<TopKEntry>& picked,
-                const std::vector<EntityId>& pool) const;
-  // Builds pool = entry ∪ N2 random entities and scores it. `is_known`
-  // tests whether a candidate would form a known-true triple. Returns the
-  // number of known-true candidates admitted after retry exhaustion.
-  int BuildPool(const std::vector<EntityId>& entry, Rng* rng,
-                const std::function<bool(EntityId)>& is_known,
-                std::vector<EntityId>* pool) const;
+  // One refresh of the entry keyed by (fixed, r), where `side` is the slot
+  // the candidates fill: build the pool, pick N1 survivors, commit them.
+  CacheRefreshResult Refresh(std::vector<EntityId>* entry,
+                             CorruptionSide side, EntityId fixed,
+                             RelationId r, Rng* rng) const;
 
   const KgeModel* model_;
   CacheUpdateStrategy strategy_;

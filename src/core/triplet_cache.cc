@@ -34,18 +34,18 @@ TripletCache::Shard& TripletCache::ShardFor(uint64_t key) const {
   return *shards_[k % shards_.size()];
 }
 
-void TripletCache::Touch(Shard* shard, uint64_t key, Entry* entry) {
+void TripletCache::Touch(Shard* shard, Entry* entry) {
   if (shard_max_entries_ == 0) return;
-  shard->lru.erase(entry->lru_pos);
-  shard->lru.push_front(key);
-  entry->lru_pos = shard->lru.begin();
+  // Relink the key's node at the front: no allocation, and lru_pos stays
+  // valid.
+  shard->lru.splice(shard->lru.begin(), shard->lru, entry->lru_pos);
 }
 
 std::vector<EntityId>* TripletCache::GetOrInitLocked(Shard* shard,
                                                      uint64_t key, Rng* rng) {
   auto it = shard->entries.find(key);
   if (it != shard->entries.end()) {
-    Touch(shard, key, &it->second);
+    Touch(shard, &it->second);
     return &it->second.candidates;
   }
 

@@ -154,7 +154,7 @@ class TripletCache {
   /// GetOrInit body; the caller must hold `shard->mu`.
   std::vector<EntityId>* GetOrInitLocked(Shard* shard, uint64_t key, Rng* rng)
       NSC_REQUIRES(shard->mu);
-  void Touch(Shard* shard, uint64_t key, Entry* entry)
+  void Touch(Shard* shard, Entry* entry)
       NSC_REQUIRES(shard->mu);
 
   int capacity_;

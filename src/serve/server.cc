@@ -304,10 +304,12 @@ void ServeServer::ReapIdleConnections(int64_t now_us) {
              conn->next_out_seq == conn->next_seq;
     }
     if (idle) {
-      ::close(conn->fd);
-      it = connections_.erase(it);
+      // Count before closing: a peer that sees EOF and then reads stats()
+      // must find its connection counted.
       counters_.idle_closed.fetch_add(1, std::memory_order_relaxed);
       counters_.closed.fetch_add(1, std::memory_order_relaxed);
+      ::close(conn->fd);
+      it = connections_.erase(it);
     } else {
       ++it;
     }
@@ -373,9 +375,9 @@ void ServeServer::LoopThread() {
       // connection closes.
       if (alive) alive = FlushConnection(conn);
       if (!alive) {
+        counters_.closed.fetch_add(1, std::memory_order_relaxed);
         ::close(conn->fd);
         connections_.erase(conn->fd);
-        counters_.closed.fetch_add(1, std::memory_order_relaxed);
       }
     }
     ReapIdleConnections(SteadyNowUs());

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "util/logging.h"
 
@@ -66,30 +67,72 @@ void Scale(float alpha, float* a, int n) {
   for (int i = 0; i < n; ++i) a[i] *= alpha;
 }
 
-std::vector<int> GumbelTopK(const std::vector<double>& logits, int k, Rng* rng) {
-  CHECK_LE(static_cast<size_t>(k), logits.size());
-  std::vector<std::pair<double, int>> keyed(logits.size());
-  for (size_t i = 0; i < logits.size(); ++i) {
-    keyed[i] = {logits[i] + rng->Gumbel(), static_cast<int>(i)};
+namespace {
+
+// A key packed with its index, ordered (key desc, index asc) by integer
+// compares alone: `key` is the bit pattern of the double mapped so that
+// unsigned order is descending order of the value.
+struct KeyedIndex {
+  uint64_t key;
+  uint32_t index;
+};
+
+inline bool operator<(const KeyedIndex& a, const KeyedIndex& b) {
+  return a.key != b.key ? a.key < b.key : a.index < b.index;
+}
+
+inline uint64_t DescendingKey(double x) {
+  x += 0.0;  // -0.0 + 0.0 == +0.0: both zeros get the same key.
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  // Ascending value order is ascending (bits | sign) for non-negative and
+  // ascending ~bits for negative doubles; complement it for descending.
+  constexpr uint64_t kSign = 1ULL << 63;
+  return (bits & kSign) != 0 ? bits : ~(bits | kSign);
+}
+
+// Writes the indices of the k largest of key(0), ..., key(n-1) to `out`
+// in (key desc, index asc) order. key(i) is called once per i, in index
+// order. nth_element + sort of the k survivors over packed integers beats
+// partial_sort over (double, int) pairs or an index-based comparator,
+// whose data-dependent branches mispredict.
+template <typename KeyFn>
+void SelectTopK(size_t n, int k, KeyFn key, std::vector<int>* out) {
+  CHECK_GE(k, 0);
+  CHECK_LE(static_cast<size_t>(k), n);
+  static thread_local std::vector<KeyedIndex> keyed;
+  keyed.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    keyed[i] = {DescendingKey(key(i)), static_cast<uint32_t>(i)};
   }
-  std::partial_sort(keyed.begin(), keyed.begin() + k, keyed.end(),
-                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<int> out(k);
-  for (int i = 0; i < k; ++i) out[i] = keyed[i].second;
+  std::nth_element(keyed.begin(), keyed.begin() + k, keyed.end());
+  std::sort(keyed.begin(), keyed.begin() + k);
+  out->resize(static_cast<size_t>(k));
+  for (int i = 0; i < k; ++i) (*out)[i] = static_cast<int>(keyed[i].index);
+}
+
+}  // namespace
+
+void GumbelTopK(const double* logits, size_t n, int k, Rng* rng,
+                std::vector<int>* out) {
+  SelectTopK(
+      n, k,
+      [&](size_t i) {
+        return (logits != nullptr ? logits[i] : 0.0) + rng->Gumbel();
+      },
+      out);
+}
+
+std::vector<int> GumbelTopK(const std::vector<double>& logits, int k, Rng* rng) {
+  std::vector<int> out;
+  GumbelTopK(logits.data(), logits.size(), k, rng, &out);
   return out;
 }
 
 std::vector<int> TopK(const std::vector<double>& values, int k) {
-  CHECK_LE(static_cast<size_t>(k), values.size());
-  std::vector<int> idx(values.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::partial_sort(idx.begin(), idx.begin() + k, idx.end(),
-                    [&](int a, int b) {
-                      if (values[a] != values[b]) return values[a] > values[b];
-                      return a < b;
-                    });
-  idx.resize(k);
-  return idx;
+  std::vector<int> out;
+  SelectTopK(values.size(), k, [&](size_t i) { return values[i]; }, &out);
+  return out;
 }
 
 }  // namespace nsc

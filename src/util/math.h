@@ -39,14 +39,29 @@ void Axpy(float alpha, const float* x, float* y, int n);
 /// Scales a length-n array in place.
 void Scale(float alpha, float* a, int n);
 
-/// Samples k distinct indices from {0..logits.size()-1} with probability
-/// proportional to exp(logits[i]), *without replacement*, via the
-/// Gumbel-top-k trick: argtop-k of logits[i] + Gumbel noise. Requires
-/// k <= logits.size(). The returned indices are in no particular order.
+/// Samples k distinct indices from {0..n-1} with probability proportional
+/// to exp(logits[i]), *without replacement*, via the Gumbel-top-k trick
+/// (Kool et al., ICML 2019): the k largest keys logits[i] + G_i, with one
+/// Gumbel(0,1) draw G_i per index in index order. Requires k <= n. A null
+/// `logits` stands for n zero logits (uniform sampling without
+/// replacement).
+///
+/// Order contract: `out` lists the survivors by key descending, equal keys
+/// by index ascending; -0.0 and +0.0 keys are equal. Callers depend on it:
+/// the NSCaching refresh writes survivors into cache slots in this order,
+/// and the synthetic KG generator emits neighbours in it.
+///
+/// The keys live in a per-thread buffer, so once the calling thread has
+/// seen an n this large and `out` has capacity k, a call allocates nothing.
+void GumbelTopK(const double* logits, size_t n, int k, Rng* rng,
+                std::vector<int>* out);
+
+/// Convenience form of the above over a vector of logits.
 std::vector<int> GumbelTopK(const std::vector<double>& logits, int k, Rng* rng);
 
-/// Deterministic top-k: indices of the k largest values (ties broken by
-/// lower index). Requires k <= values.size().
+/// Deterministic top-k: indices of the k largest values, in GumbelTopK's
+/// order (value desc, equal values by index asc, -0.0 == +0.0). Requires
+/// k <= values.size().
 std::vector<int> TopK(const std::vector<double>& values, int k);
 
 }  // namespace nsc

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -94,6 +96,73 @@ TEST(GumbelTopKTest, KEqualsNReturnsAll) {
   auto picked = GumbelTopK(logits, 3, &rng);
   std::set<int> unique(picked.begin(), picked.end());
   EXPECT_EQ(unique, (std::set<int>{0, 1, 2}));
+}
+
+// Reference order of the GumbelTopK / TopK contract: a full stable sort by
+// key descending, so equal keys (-0.0 == +0.0 included) keep index order.
+std::vector<int> ReferenceTopK(const std::vector<double>& keys, int k) {
+  std::vector<int> idx(keys.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](int a, int b) { return keys[a] > keys[b]; });
+  idx.resize(k);
+  return idx;
+}
+
+// The selection order is pinned (the NSCaching cache-slot order depends on
+// it), including exact key ties and signed zeros. The keys are recomputed
+// from a copy of the generator: one Gumbel draw per index, in index order.
+TEST(GumbelTopKTest, OrderMatchesFullSortWithTiesAndSignedZeros) {
+  Rng rng(21);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 1 + trial % 37;
+    Rng copy = rng;
+    std::vector<double> gumbel(n);
+    for (double& g : gumbel) g = copy.Gumbel();
+    std::vector<double> logits(n);
+    for (int i = 0; i < n; ++i) {
+      switch (i % 4) {
+        case 0:  // Swamped by the logit: equal keys +1e300.
+          logits[i] = 1e300;
+          break;
+        case 1:  // Exact cancellation: key +0.0.
+          logits[i] = -gumbel[i];
+          break;
+        case 2:  // Below every other key: equal keys -inf.
+          logits[i] = -std::numeric_limits<double>::infinity();
+          break;
+        default:
+          logits[i] = 0.25 * (i % 7) - 1.0;
+      }
+    }
+    std::vector<double> keys(n);
+    for (int i = 0; i < n; ++i) keys[i] = logits[i] + gumbel[i];
+    const int k = (trial * 7) % (n + 1);
+    std::vector<int> got;
+    GumbelTopK(logits.data(), logits.size(), k, &rng, &got);
+    EXPECT_EQ(got, ReferenceTopK(keys, k)) << "n=" << n << " k=" << k;
+    // Same number of draws as keys: the streams stay in step.
+    EXPECT_EQ(rng.Next(), copy.Next());
+  }
+}
+
+TEST(GumbelTopKTest, NullLogitsAreZeroLogits) {
+  Rng a(5);
+  Rng b(5);
+  const std::vector<double> zeros(30, 0.0);
+  std::vector<int> got;
+  GumbelTopK(nullptr, zeros.size(), 12, &a, &got);
+  EXPECT_EQ(got, GumbelTopK(zeros, 12, &b));
+}
+
+TEST(TopKTest, SignedZerosAndTiesFollowIndexOrder) {
+  const std::vector<double> v = {0.0,  -0.0, 1.0, -0.0, 0.0,
+                                 -1.0, 1.0,  0.0, -0.0, 2.0};
+  for (int k = 0; k <= static_cast<int>(v.size()); ++k) {
+    EXPECT_EQ(TopK(v, k), ReferenceTopK(v, k)) << "k=" << k;
+  }
+  // Spelled out: 9 (2.0), 2 and 6 (1.0), then every zero by index.
+  EXPECT_EQ(TopK(v, 6), (std::vector<int>{9, 2, 6, 0, 1, 3}));
 }
 
 // Property: Gumbel-top-1 equals categorical sampling under softmax(logits).
